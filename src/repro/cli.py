@@ -747,8 +747,13 @@ def _findings(args: argparse.Namespace) -> int:
         msrc,
         peak_interval=scale_a.peak_interval,
         activity_interval=scale_a.activity_interval,
+        workers=args.workers,
+        backend=getattr(args, "backend", None),
     )
     for finding in findings:
+        # The verdict lands in the run ledger, so `repro runs diff` shows
+        # a flipped finding next to the timing drift.
+        metrics.gauge(f"finding.{finding.id}.holds").set(float(finding.holds))
         print(finding)
         if args.verbose:
             for key, value in finding.evidence.items():

@@ -7,14 +7,14 @@ fraction of the volume's working set and report per-op miss ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from ..cache.base import CachePolicy
 from ..cache.lru import LRUCache
 from ..cache.simulator import CacheSimResult, simulate_stream
-from ..trace.blocks import block_events
+from ..trace.blocks import BlockEvents, block_events
 from ..trace.dataset import TraceDataset, VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 
@@ -22,6 +22,8 @@ __all__ = [
     "DEFAULT_CACHE_FRACTIONS",
     "VolumeCacheResult",
     "volume_miss_ratios",
+    "event_miss_ratios",
+    "pool_miss_ratios",
     "dataset_miss_ratios",
     "MissRatioSummary",
 ]
@@ -61,6 +63,18 @@ def volume_miss_ratios(
     """
     ev = block_events(trace, block_size)
     wss_blocks = len(np.unique(ev.block_id)) if len(ev) else 0
+    return event_miss_ratios(trace.volume_id, ev, wss_blocks, cache_fractions, policy_factory)
+
+
+def event_miss_ratios(
+    volume_id: str,
+    ev: BlockEvents,
+    wss_blocks: int,
+    cache_fractions: Sequence[float] = DEFAULT_CACHE_FRACTIONS,
+    policy_factory: Callable[[int], CachePolicy] = LRUCache,
+) -> List[VolumeCacheResult]:
+    """:func:`volume_miss_ratios` of already expanded events whose working
+    set spans ``wss_blocks`` distinct blocks."""
     out: List[VolumeCacheResult] = []
     for frac in cache_fractions:
         if not 0 < frac <= 1:
@@ -71,7 +85,7 @@ def volume_miss_ratios(
         result = simulate_stream(ev.block_id, ev.is_write, policy_factory(capacity))
         out.append(
             VolumeCacheResult(
-                volume_id=trace.volume_id,
+                volume_id=volume_id,
                 cache_fraction=frac,
                 capacity_blocks=capacity,
                 result=result,
@@ -102,10 +116,25 @@ def dataset_miss_ratios(
     Volumes without reads (writes) contribute no sample to the read
     (write) distribution at that cache size.
     """
+    return pool_miss_ratios(
+        (
+            volume_miss_ratios(trace, cache_fractions, block_size, policy_factory)
+            for trace in dataset.volumes()
+        ),
+        cache_fractions,
+    )
+
+
+def pool_miss_ratios(
+    per_volume: Iterable[List[VolumeCacheResult]], cache_fractions: Sequence[float]
+) -> MissRatioSummary:
+    """Collect per-volume results into per-op samples, in the given volume
+    order.  Volumes without reads (writes) contribute no read (write)
+    sample at that cache size."""
     read: Dict[float, List[float]] = {float(f): [] for f in cache_fractions}
     write: Dict[float, List[float]] = {float(f): [] for f in cache_fractions}
-    for trace in dataset.volumes():
-        for res in volume_miss_ratios(trace, cache_fractions, block_size, policy_factory):
+    for results in per_volume:
+        for res in results:
             if res.result.n_reads:
                 read[res.cache_fraction].append(res.read_miss_ratio)
             if res.result.n_writes:

@@ -19,7 +19,7 @@ from .aggregate import basic_statistics
 from .load_intensity import average_intensity, burstiness_ratio, write_read_ratio
 from .report import format_duration, format_table
 from .spatial import dataset_mostly_traffic, randomness_ratio, update_coverage
-from .temporal import adjacent_access_counts, dataset_adjacent_access_times
+from .temporal import dataset_adjacent_access_times
 
 __all__ = ["DatasetSummary", "WorkloadComparison", "compare_datasets"]
 
@@ -55,8 +55,8 @@ def _summarize(dataset: TraceDataset, peak_interval: float) -> DatasetSummary:
         return float(np.median(vals)) if len(vals) else float("nan")
 
     stats = basic_statistics(dataset)
-    counts = adjacent_access_counts(dataset)
     times = dataset_adjacent_access_times(dataset)
+    counts = times.counts()
     mostly = dataset_mostly_traffic(dataset)
     wr = [write_read_ratio(v) for v in volumes]
     return DatasetSummary(

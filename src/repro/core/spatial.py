@@ -8,10 +8,11 @@ read-mostly/write-mostly block classification, and update coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from ..trace.blocks import block_events, block_traffic
+from ..trace.blocks import BlockEvents, block_events, block_traffic
 from ..trace.dataset import TraceDataset, VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 
@@ -21,11 +22,16 @@ __all__ = [
     "random_request_mask",
     "randomness_ratio",
     "topk_block_traffic_fraction",
+    "top_traffic_fraction",
     "MostlyTraffic",
+    "MostlySums",
+    "mostly_sums",
     "mostly_traffic",
+    "pool_mostly_traffic",
     "dataset_mostly_traffic",
     "WorkingSets",
     "working_sets",
+    "event_working_sets",
     "update_coverage",
 ]
 
@@ -91,12 +97,17 @@ def topk_block_traffic_fraction(
     least one block is always selected.  NaN when the volume has no traffic
     of the requested op.
     """
-    if not 0 < top_fraction <= 1:
-        raise ValueError("top_fraction must be in (0, 1]")
     if op not in ("read", "write"):
         raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-    blocks, read_bytes, write_bytes = block_traffic(trace, block_size)
-    traffic = read_bytes if op == "read" else write_bytes
+    _, read_bytes, write_bytes = block_traffic(trace, block_size)
+    return top_traffic_fraction(read_bytes if op == "read" else write_bytes, top_fraction)
+
+
+def top_traffic_fraction(traffic: np.ndarray, top_fraction: float) -> float:
+    """Share of one op's per-block ``traffic`` held by its hottest blocks
+    (the per-volume core of :func:`topk_block_traffic_fraction`)."""
+    if not 0 < top_fraction <= 1:
+        raise ValueError("top_fraction must be in (0, 1]")
     traffic = traffic[traffic > 0]
     if len(traffic) == 0:
         return float("nan")
@@ -114,21 +125,58 @@ class MostlyTraffic:
     write_to_write_mostly: float
 
 
-def _mostly_fractions(
-    read_bytes: np.ndarray, write_bytes: np.ndarray, threshold: float
-) -> MostlyTraffic:
+@dataclass(frozen=True)
+class MostlySums:
+    """One volume's (or a fleet's) Finding 10 byte sums.
+
+    Read bytes landing in read-mostly blocks, write bytes landing in
+    write-mostly blocks, and the read and write totals they divide by.
+    """
+
+    read_to_read_mostly: float = 0.0
+    write_to_write_mostly: float = 0.0
+    total_read: float = 0.0
+    total_write: float = 0.0
+
+    def __add__(self, other: "MostlySums") -> "MostlySums":
+        return MostlySums(
+            self.read_to_read_mostly + other.read_to_read_mostly,
+            self.write_to_write_mostly + other.write_to_write_mostly,
+            self.total_read + other.total_read,
+            self.total_write + other.total_write,
+        )
+
+    def fractions(self) -> MostlyTraffic:
+        nan = float("nan")
+        return MostlyTraffic(
+            read_to_read_mostly=(
+                self.read_to_read_mostly / self.total_read if self.total_read > 0 else nan
+            ),
+            write_to_write_mostly=(
+                self.write_to_write_mostly / self.total_write if self.total_write > 0 else nan
+            ),
+        )
+
+
+def mostly_sums(
+    read_bytes: np.ndarray, write_bytes: np.ndarray, threshold: float = MOSTLY_THRESHOLD
+) -> MostlySums:
+    """Classify one volume's blocks from their per-block read/write traffic.
+
+    Block classification is per volume (block ids are per-volume address
+    spaces); the sums it returns add up across a fleet.
+    """
     total = read_bytes + write_bytes
     touched = total > 0
-    read_bytes = read_bytes[touched]
-    write_bytes = write_bytes[touched]
-    total = total[touched]
-    read_mostly = read_bytes >= threshold * total
-    write_mostly = write_bytes >= threshold * total
-    total_read = read_bytes.sum()
-    total_write = write_bytes.sum()
-    r = float(read_bytes[read_mostly].sum() / total_read) if total_read > 0 else float("nan")
-    w = float(write_bytes[write_mostly].sum() / total_write) if total_write > 0 else float("nan")
-    return MostlyTraffic(read_to_read_mostly=r, write_to_write_mostly=w)
+    rb, wb, tot = read_bytes[touched], write_bytes[touched], total[touched]
+    read_mostly = rb >= threshold * tot
+    write_mostly = wb >= threshold * tot
+    return MostlySums(
+        read_to_read_mostly=float(rb[read_mostly].sum()),
+        write_to_write_mostly=float(wb[write_mostly].sum()),
+        total_read=float(rb.sum()),
+        total_write=float(wb.sum()),
+    )
 
 
 def mostly_traffic(
@@ -138,8 +186,20 @@ def mostly_traffic(
 ) -> MostlyTraffic:
     """Per-volume fractions of read traffic to read-mostly blocks and write
     traffic to write-mostly blocks."""
+    return _volume_mostly_sums(trace, threshold, block_size).fractions()
+
+
+def _volume_mostly_sums(trace: VolumeTrace, threshold: float, block_size: int) -> MostlySums:
     _, read_bytes, write_bytes = block_traffic(trace, block_size)
-    return _mostly_fractions(read_bytes, write_bytes, threshold)
+    return mostly_sums(read_bytes, write_bytes, threshold)
+
+
+def pool_mostly_traffic(per_volume: Iterable[MostlySums]) -> MostlyTraffic:
+    """Fleet fractions from per-volume sums, added in the given order."""
+    pooled = MostlySums()
+    for sums in per_volume:
+        pooled = pooled + sums
+    return pooled.fractions()
 
 
 def dataset_mostly_traffic(
@@ -152,26 +212,8 @@ def dataset_mostly_traffic(
     Block classification happens per volume (block ids are per-volume
     address spaces), then traffic is summed across the fleet.
     """
-    read_to_rm = 0.0
-    write_to_wm = 0.0
-    total_read = 0.0
-    total_write = 0.0
-    for trace in dataset.volumes():
-        _, read_bytes, write_bytes = block_traffic(trace, block_size)
-        if len(read_bytes) == 0:
-            continue
-        total = read_bytes + write_bytes
-        touched = total > 0
-        rb, wb, tot = read_bytes[touched], write_bytes[touched], total[touched]
-        read_mostly = rb >= threshold * tot
-        write_mostly = wb >= threshold * tot
-        read_to_rm += float(rb[read_mostly].sum())
-        write_to_wm += float(wb[write_mostly].sum())
-        total_read += float(rb.sum())
-        total_write += float(wb.sum())
-    return MostlyTraffic(
-        read_to_read_mostly=read_to_rm / total_read if total_read > 0 else float("nan"),
-        write_to_write_mostly=write_to_wm / total_write if total_write > 0 else float("nan"),
+    return pool_mostly_traffic(
+        _volume_mostly_sums(trace, threshold, block_size) for trace in dataset.volumes()
     )
 
 
@@ -188,32 +230,35 @@ class WorkingSets:
     write: int
     update: int
 
+    @property
+    def update_coverage(self) -> float:
+        """Update WSS / total WSS (Finding 11); NaN when nothing was touched."""
+        if self.total == 0:
+            return float("nan")
+        return self.update / self.total
+
 
 def working_sets(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> WorkingSets:
     """Total/read/write/update working set sizes of one volume."""
-    ev = block_events(trace, block_size)
+    return event_working_sets(block_events(trace, block_size))
+
+
+def event_working_sets(ev: BlockEvents) -> WorkingSets:
+    """:func:`working_sets` of an already expanded :class:`BlockEvents`."""
     if len(ev) == 0:
         return WorkingSets(0, 0, 0, 0)
-    total = len(np.unique(ev.block_id))
-    read = len(np.unique(ev.block_id[~ev.is_write]))
-    write_blocks = ev.block_id[ev.is_write]
-    if len(write_blocks):
-        uniq, counts = np.unique(write_blocks, return_counts=True)
-        write = len(uniq)
-        update = int(np.count_nonzero(counts > 1))
-    else:
-        write = update = 0
+    blocks, inverse = np.unique(ev.block_id, return_inverse=True)
+    read_touches = np.bincount(inverse[~ev.is_write], minlength=len(blocks))
+    write_touches = np.bincount(inverse[ev.is_write], minlength=len(blocks))
+    block_size = ev.block_size
     return WorkingSets(
-        total=total * block_size,
-        read=read * block_size,
-        write=write * block_size,
-        update=update * block_size,
+        total=len(blocks) * block_size,
+        read=int(np.count_nonzero(read_touches)) * block_size,
+        write=int(np.count_nonzero(write_touches)) * block_size,
+        update=int(np.count_nonzero(write_touches > 1)) * block_size,
     )
 
 
 def update_coverage(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> float:
     """Update WSS / total WSS of the volume (Finding 11); NaN when empty."""
-    ws = working_sets(trace, block_size)
-    if ws.total == 0:
-        return float("nan")
-    return ws.update / ws.total
+    return working_sets(trace, block_size).update_coverage

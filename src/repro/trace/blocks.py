@@ -25,6 +25,8 @@ __all__ = [
     "unique_blocks",
     "working_set_size",
     "block_traffic",
+    "event_traffic",
+    "count_block_events",
 ]
 
 
@@ -35,6 +37,16 @@ def block_range(offset: int, size: int, block_size: int = DEFAULT_BLOCK_SIZE) ->
     first = offset // block_size
     last = (offset + size - 1) // block_size
     return first, last - first + 1
+
+
+def _blocks_per_request(offsets: np.ndarray, sizes: np.ndarray, block_size: int) -> np.ndarray:
+    return (offsets + sizes - 1) // block_size - offsets // block_size + 1
+
+
+def count_block_events(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
+    """Number of (request, block) events :func:`block_events` would yield,
+    without materializing them (a cheap per-volume cost estimate)."""
+    return int(_blocks_per_request(trace.offsets, trace.sizes, block_size).sum())
 
 
 def expand_to_blocks(
@@ -56,8 +68,7 @@ def expand_to_blocks(
         empty = np.array([], dtype=np.int64)
         return empty, empty.copy(), empty.copy()
     first = offsets // block_size
-    last = (offsets + sizes - 1) // block_size
-    counts = last - first + 1
+    counts = _blocks_per_request(offsets, sizes, block_size)
     total = int(counts.sum())
     req_index = np.repeat(np.arange(n, dtype=np.int64), counts)
     # Concatenated per-request aranges: position within each request's span.
@@ -146,7 +157,11 @@ def block_traffic(
     sorted distinct block ids and the byte arrays give each block's total
     read and write traffic.
     """
-    ev = block_events(trace, block_size)
+    return event_traffic(block_events(trace, block_size))
+
+
+def event_traffic(ev: BlockEvents) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`block_traffic` of an already expanded :class:`BlockEvents`."""
     if len(ev) == 0:
         empty = np.array([], dtype=np.int64)
         return empty, empty.copy(), empty.copy()

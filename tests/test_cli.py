@@ -188,6 +188,46 @@ class TestCommands:
         assert rc in (0, 1)  # tiny fleets need not satisfy all 15 findings
         assert "of 15 findings hold" in out
 
+    @pytest.fixture()
+    def finding_dirs(self, tmp_path):
+        ali = str(tmp_path / "ali")
+        msrc = str(tmp_path / "msrc")
+        main(["generate", ali, "--volumes", "4", "--days", "2", "--day-seconds", "30"])
+        main(["generate", msrc, "--fleet", "msrc", "--volumes", "3", "--days", "2",
+              "--day-seconds", "30"])
+        return ["findings", "--ali-dir", ali, "--msrc-dir", msrc,
+                "--day-seconds", "30", "--verbose"]
+
+    def test_findings_verbose_is_worker_invariant(self, finding_dirs, capsys):
+        capsys.readouterr()
+        runs = []
+        for workers in ("1", "2"):
+            rc = main(finding_dirs + ["--workers", workers])
+            runs.append((rc, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][1].count("Finding ") == 15
+
+    def test_findings_verdicts_in_ledger(self, finding_dirs, tmp_path, capsys):
+        from repro.obs import ledger
+
+        capsys.readouterr()
+        rc_off = main(finding_dirs + ["--no-ledger"])
+        out_off = capsys.readouterr().out
+        ledger_dir = str(tmp_path / "runs")
+        rc_on = main(finding_dirs + ["--ledger-dir", ledger_dir,
+                                     "--metrics-out", str(tmp_path / "m.json")])
+        # Recording the verdicts must not change a byte of the output.
+        assert (rc_on, capsys.readouterr().out) == (rc_off, out_off)
+        (path,) = ledger.list_records(ledger_dir)
+        flat = ledger.load_record(path)["metrics"]
+        verdicts = {
+            int(line.split()[1]): "[HOLDS]" in line
+            for line in out_off.splitlines() if line.startswith("Finding ")
+        }
+        assert len(verdicts) == 15
+        for fid, holds in verdicts.items():
+            assert flat[f"finding.{fid}.holds"] == float(holds)
+
     def test_generate_compressed(self, tmp_path):
         out = str(tmp_path / "gz")
         main(
