@@ -29,13 +29,14 @@ flat ``metrics`` map that ``repro runs check`` gates in CI.  Runs are
 appended to the persistent run ledger too; ``--no-ledger`` opts out.
 
 The ``pruning`` section then times the query planner on the warm store
-(see :mod:`repro.engine.plan`): a full scan with no column declarations,
-the same scan column-pruned by the analyzer's ``required_columns``, and
-a time-windowed single-volume scan that skips whole files and zone-mapped
-chunks.  Each windowed result is asserted bit-identical to the unpruned
-run post-filtered — at every worker count — before any timing is
-reported; the headline ``speedup_window_vs_full`` bar is >= 3x at
-workers=1.
+(see :mod:`repro.engine.plan`) with a ``StreamingProfileAnalyzer`` whose
+reservoirs hold every row (so its result does not depend on chunk
+layout): a full scan with no column declarations, the same scan
+column-pruned by the analyzer's ``required_columns``, and a time-windowed
+single-volume scan that skips whole files and zone-mapped chunks.
+Each windowed result is asserted bit-identical to the unpruned run
+post-filtered — at every worker count — before any timing is reported;
+the headline ``speedup_window_vs_full`` bar is >= 3x at workers=1.
 """
 
 import argparse
@@ -102,7 +103,7 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
     """
     from dataclasses import asdict
 
-    from repro.engine import LoadIntensityAnalyzer, RowPredicate, run
+    from repro.engine import RowPredicate, StreamingProfileAnalyzer, run
     from repro.engine.runner import run_dataset
     from repro.obs import collecting, metrics_report
     from repro.trace.filters import filter_time_range
@@ -115,9 +116,11 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
     since = t0 + 0.45 * (t1 - t0)
     until = t0 + 0.55 * (t1 - t0)
     predicate = RowPredicate(since=since, until=until, volumes=(vid,))
+    n_rows = sum(len(text_ds[v]) for v in text_ds.volume_ids())
 
     def _analyzer():
-        return LoadIntensityAnalyzer(peak_interval=10.0)
+        # Reservoirs larger than any volume keep every sample: exact.
+        return StreamingProfileAnalyzer(reservoir_size=n_rows)
 
     def _undeclared_analyzer():
         analyzer = _analyzer()
@@ -130,7 +133,7 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
         v: asdict(r)
         for v, r in run_dataset(
             ref_ds, [_analyzer()], chunk_size=chunk_size
-        ).analyzer("load_intensity").items()
+        ).analyzer("streaming_profile").items()
     }
 
     section = {
@@ -142,7 +145,6 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
     }
     print("\nquery planning on the warm store:")
     for workers in workers_list:
-        n_rows = sum(len(text_ds[v]) for v in text_ds.volume_ids())
         full_t, _ = _timed(
             f"full scan (all cols) workers={workers}",
             run, directory, [_undeclared_analyzer()],
@@ -167,7 +169,7 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
         }
         got = {
             v: asdict(r)
-            for v, r in win_res.analyzer("load_intensity").items()
+            for v, r in win_res.analyzer("streaming_profile").items()
         }
         assert got == ref, (
             f"windowed run workers={workers} differs from "

@@ -8,9 +8,11 @@ from typing import List, Optional
 import numpy as np
 
 from ..stats.cdf import EmpiricalCDF
+from ..trace.blocks import block_events
 from ..trace.dataset import TraceDataset
 from ..trace.record import DEFAULT_BLOCK_SIZE
 from .load_intensity import active_days, write_read_ratio
+from .spatial import event_working_sets
 
 __all__ = [
     "BasicStatistics",
@@ -118,38 +120,15 @@ def _working_sets_and_update_traffic(trace, block_size: int):
     """Working sets plus update-traffic bytes from one block expansion.
 
     Update traffic counts, per block, all write bytes beyond the block's
-    first write (the trace arrays are already in time order, so within a
-    stable per-block grouping the first row is the first write).
+    first write: the total write bytes minus each written block's first
+    write event (events are in request order, so ``np.unique``'s first
+    occurrence is the first write).
     """
-    from ..trace.blocks import block_events
-    from .spatial import WorkingSets
-
     ev = block_events(trace, block_size)
-    if len(ev) == 0:
-        return WorkingSets(0, 0, 0, 0), 0
-    total = len(np.unique(ev.block_id))
-    read = len(np.unique(ev.block_id[~ev.is_write]))
-    wmask = ev.is_write
-    wblocks = ev.block_id[wmask]
-    if len(wblocks):
-        order = np.argsort(wblocks, kind="stable")
-        blocks_sorted = wblocks[order]
-        nbytes_sorted = ev.nbytes[wmask][order]
-        first_touch = np.ones(len(blocks_sorted), dtype=bool)
-        first_touch[1:] = blocks_sorted[1:] != blocks_sorted[:-1]
-        write = int(first_touch.sum())
-        update_traffic = int(nbytes_sorted[~first_touch].sum())
-        counts = np.diff(np.concatenate([np.where(first_touch)[0], [len(blocks_sorted)]]))
-        update = int(np.count_nonzero(counts > 1))
-    else:
-        write = update = update_traffic = 0
-    ws = WorkingSets(
-        total=total * block_size,
-        read=read * block_size,
-        write=write * block_size,
-        update=update * block_size,
-    )
-    return ws, update_traffic
+    writes = ev.is_write
+    _, first = np.unique(ev.block_id[writes], return_index=True)
+    written = ev.nbytes[writes]
+    return event_working_sets(ev), int(written.sum() - written[first].sum())
 
 
 def request_size_cdf(dataset: TraceDataset, op: Optional[str] = None) -> EmpiricalCDF:

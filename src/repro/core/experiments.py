@@ -15,6 +15,7 @@ import numpy as np
 
 from ..stats.cdf import EmpiricalCDF
 from ..stats.histogram import duration_group_fractions
+from ..trace.blocks import block_traffic
 from ..trace.dataset import TraceDataset
 from .aggregate import (
     active_days_cdf,
@@ -44,12 +45,12 @@ from .report import (
 from .spatial import (
     dataset_mostly_traffic,
     randomness_ratio,
-    topk_block_traffic_fraction,
+    top_traffic_fraction,
     update_coverage,
 )
 from .temporal import (
     dataset_adjacent_access_times,
-    dataset_update_intervals,
+    pool_update_intervals,
     update_intervals,
 )
 
@@ -254,13 +255,14 @@ def _fig10(ctx: ExperimentContext) -> str:
 def _fig11(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        samples = {}
-        for op in ("read", "write"):
-            for frac in (0.01, 0.10):
-                vals = np.array(
-                    [topk_block_traffic_fraction(v, frac, op) for v in ds.non_empty_volumes()]
-                )
-                samples[f"{op} top-{int(frac * 100)}%"] = vals[np.isfinite(vals)]
+        # One block expansion per volume; one column per (op, fraction).
+        labels = [f"{op} top-{int(f * 100)}%" for op in ("read", "write") for f in (0.01, 0.10)]
+        tops = [
+            [top_traffic_fraction(t, f) for t in block_traffic(v)[1:] for f in (0.01, 0.10)]
+            for v in ds.non_empty_volumes()
+        ]
+        columns = np.array(tops, dtype=np.float64).reshape(-1, len(labels)).T
+        samples = {label: vals[np.isfinite(vals)] for label, vals in zip(labels, columns)}
         lines.append(
             format_boxplot_rows(samples, title=f"Fig11 {name}: traffic in hottest blocks")
         )
@@ -317,16 +319,16 @@ def _fig16_17_table6(ctx: ExperimentContext) -> str:
     rows = []
     boundaries = [ctx.day_seconds * h / 24.0 for h in (5 / 60, 30 / 60, 240 / 60)]
     for name, ds in ctx.pairs():
-        pooled = dataset_update_intervals(ds)
+        # One pass per volume feeds both Figure 17 and the pooled Table VI;
+        # the per-volume arrays are dropped before the percentiles copy the pool.
+        intervals = [update_intervals(v) for v in ds.volumes()]
+        per_volume = [duration_group_fractions(ui, boundaries) for ui in intervals if len(ui)]
+        pooled = pool_update_intervals(intervals)
+        del intervals
         if len(pooled) == 0:
             continue
         values = np.percentile(pooled, (25, 50, 75, 90, 95))
         rows.append([name] + [format_duration(v) for v in values])
-        per_volume = [
-            duration_group_fractions(ui, boundaries)
-            for ui in (update_intervals(v) for v in ds.non_empty_volumes())
-            if len(ui)
-        ]
         fracs = np.array(per_volume)
         lines.append(
             f"Fig17 {name}: median group fractions "

@@ -6,9 +6,10 @@ comparison, existence of a pattern) — not the absolute numbers, which
 depend on the production environment.  ``evaluate_findings`` returns one
 :class:`Finding` per paper finding with the measured evidence attached.
 
-Block-level evidence (Findings 8-15) comes from :func:`volume_suite`, a
-per-volume unit that expands the volume into block events once and
-returns a small picklable :class:`VolumeSummary`.  The units fan out over
+Block-level evidence (Findings 8-15) comes from
+:func:`~repro.core.volume_profile.volume_suite`, a per-volume unit that
+expands the volume into block events once and returns a small picklable
+:class:`~repro.core.volume_profile.VolumeSummary`.  The units fan out over
 the engine's execution backend; the parent folds the summaries in
 canonical volume order, so every pooled sum, concatenation, median and
 percentile sees the same values in the same order at any worker count.
@@ -17,19 +18,14 @@ percentile sees the same values in the same order at any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..trace.blocks import block_events, count_block_events, event_traffic
-from ..trace.dataset import TraceDataset, VolumeTrace
-from ..trace.record import DEFAULT_BLOCK_SIZE
-from .cache_analysis import (
-    MissRatioSummary,
-    VolumeCacheResult,
-    event_miss_ratios,
-    pool_miss_ratios,
-)
+from ..trace.blocks import count_block_events
+from ..trace.dataset import TraceDataset
+from .cache_analysis import DEFAULT_CACHE_FRACTIONS, MissRatioSummary, pool_miss_ratios
 from .load_intensity import (
     active_period_seconds,
     active_volume_timeseries,
@@ -38,35 +34,20 @@ from .load_intensity import (
     interarrival_percentile_groups,
     overall_intensity,
 )
-from .spatial import (
-    MostlySums,
-    MostlyTraffic,
-    event_working_sets,
-    mostly_sums,
-    pool_mostly_traffic,
-    randomness_ratio,
-    top_traffic_fraction,
-)
-from .temporal import (
-    AdjacentAccessTimes,
-    block_stream,
-    pool_adjacent_access_times,
-    pool_update_intervals,
-    stream_adjacent_access_times,
-    stream_update_intervals,
-)
+from .spatial import MostlyTraffic, pool_mostly_traffic
+from .temporal import AdjacentAccessTimes, pool_adjacent_access_times, pool_update_intervals
+from .volume_profile import VolumeSummary, volume_suite
 
 __all__ = [
     "Finding",
     "evaluate_findings",
     "FINDING_TITLES",
     "FINDING_CACHE_FRACTIONS",
-    "VolumeSummary",
-    "volume_suite",
 ]
 
-#: Cache sizes (fractions of WSS) Finding 15 compares.
-FINDING_CACHE_FRACTIONS = (0.01, 0.10)
+#: Cache sizes (fractions of WSS) Finding 15 compares: the ones every
+#: volume summary simulates.
+FINDING_CACHE_FRACTIONS = DEFAULT_CACHE_FRACTIONS
 
 FINDING_TITLES = {
     1: "Both traces have similar load intensities of volumes",
@@ -101,48 +82,6 @@ class Finding:
         return f"Finding {self.id:2d} [{status}]: {self.title}"
 
 
-@dataclass(frozen=True)
-class VolumeSummary:
-    """Every per-volume quantity Findings 8-15 consume, from one expansion."""
-
-    n_requests: int
-    randomness: float
-    top10_read: float
-    top10_write: float
-    mostly: MostlySums
-    update_coverage: float
-    adjacent: AdjacentAccessTimes
-    update_intervals: np.ndarray
-    miss_ratios: List[VolumeCacheResult]
-
-
-def volume_suite(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> VolumeSummary:
-    """The per-volume metric suite: one block expansion, every metric.
-
-    Each field equals the standalone per-volume function (e.g.
-    ``update_coverage(trace)``) because both call the same helpers; only
-    the expansion and the (block, time) sort are shared.  Module-level so
-    the engine can pickle it to a pool worker.
-    """
-    ev = block_events(trace, block_size)
-    _, read_bytes, write_bytes = event_traffic(ev)
-    ws = event_working_sets(ev)
-    stream = block_stream(ev)
-    return VolumeSummary(
-        n_requests=len(trace),
-        randomness=randomness_ratio(trace),
-        top10_read=top_traffic_fraction(read_bytes, 0.10),
-        top10_write=top_traffic_fraction(write_bytes, 0.10),
-        mostly=mostly_sums(read_bytes, write_bytes),
-        update_coverage=ws.update_coverage,
-        adjacent=stream_adjacent_access_times(stream),
-        update_intervals=stream_update_intervals(stream),
-        miss_ratios=event_miss_ratios(
-            trace.volume_id, ev, ws.total // block_size, FINDING_CACHE_FRACTIONS
-        ),
-    )
-
-
 def _finite(values: List[float]) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     return arr[np.isfinite(arr)]
@@ -168,14 +107,14 @@ class _FleetBlocks:
     @classmethod
     def fold(cls, summaries: Sequence[VolumeSummary]) -> "_FleetBlocks":
         def per_volume(name: str) -> np.ndarray:
-            return _finite([getattr(s, name) for s in summaries if s.n_requests])
+            return _finite([attrgetter(name)(s) for s in summaries if s.n_requests])
 
         return cls(
             randomness=per_volume("randomness"),
             top10_read=per_volume("top10_read"),
             top10_write=per_volume("top10_write"),
             mostly=pool_mostly_traffic(s.mostly for s in summaries),
-            update_coverage=per_volume("update_coverage"),
+            update_coverage=per_volume("working_sets.update_coverage"),
             adjacent=pool_adjacent_access_times(s.adjacent for s in summaries),
             update_intervals=pool_update_intervals(s.update_intervals for s in summaries),
             miss_ratios=pool_miss_ratios(

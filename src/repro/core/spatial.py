@@ -247,15 +247,20 @@ def event_working_sets(ev: BlockEvents) -> WorkingSets:
     """:func:`working_sets` of an already expanded :class:`BlockEvents`."""
     if len(ev) == 0:
         return WorkingSets(0, 0, 0, 0)
-    blocks, inverse = np.unique(ev.block_id, return_inverse=True)
-    read_touches = np.bincount(inverse[~ev.is_write], minlength=len(blocks))
-    write_touches = np.bincount(inverse[ev.is_write], minlength=len(blocks))
+    # One sort of (block, op) keys: a block's read key sorts just before
+    # its write key, and a write key's count is the block's write touches.
+    keys = ev.block_id << 1
+    keys |= ev.is_write
+    keys, touches = np.unique(keys, return_counts=True)
+    blocks = keys >> 1
+    written = (keys & 1).astype(bool)
+    n_written = int(np.count_nonzero(written))
     block_size = ev.block_size
     return WorkingSets(
-        total=len(blocks) * block_size,
-        read=int(np.count_nonzero(read_touches)) * block_size,
-        write=int(np.count_nonzero(write_touches)) * block_size,
-        update=int(np.count_nonzero(write_touches > 1)) * block_size,
+        total=(1 + int(np.count_nonzero(blocks[1:] != blocks[:-1]))) * block_size,
+        read=(len(keys) - n_written) * block_size,
+        write=n_written * block_size,
+        update=int(np.count_nonzero(touches[written] > 1)) * block_size,
     )
 
 

@@ -1,20 +1,25 @@
-"""Per-volume characterization profiles.
+"""Per-volume characterization: the metric suite and the profile.
 
-A :class:`VolumeProfile` bundles every per-volume metric the paper uses,
-so examples, the CLI, and downstream tooling can characterize a volume in
-one call and serialize the result.
+:func:`volume_suite` is the one per-volume analysis path.  It expands a
+volume into block events once and returns a small picklable
+:class:`VolumeSummary` holding every block-level metric the paper uses
+(spatial, temporal and caching).  ``evaluate_findings`` folds summaries
+across a fleet; :func:`compute_profile` projects one summary, plus the
+request-level load-intensity scalars, into a :class:`VolumeProfile` that
+examples, the CLI and downstream tooling serialize.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 import numpy as np
 
+from ..trace.blocks import block_events, event_traffic
 from ..trace.dataset import VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
-from .cache_analysis import volume_miss_ratios
+from .cache_analysis import DEFAULT_CACHE_FRACTIONS, VolumeCacheResult, event_miss_ratios
 from .load_intensity import (
     average_intensity,
     burstiness_ratio,
@@ -22,16 +27,69 @@ from .load_intensity import (
     write_read_ratio,
 )
 from .spatial import (
+    MostlySums,
     WorkingSets,
-    mostly_traffic,
+    event_working_sets,
+    mostly_sums,
     randomness_ratio,
-    topk_block_traffic_fraction,
-    update_coverage,
-    working_sets,
+    top_traffic_fraction,
 )
-from .temporal import adjacent_access_times, update_intervals
+from .temporal import (
+    AdjacentAccessTimes,
+    block_stream,
+    stream_adjacent_access_times,
+    stream_update_intervals,
+)
 
-__all__ = ["VolumeProfile", "compute_profile"]
+__all__ = ["VolumeSummary", "volume_suite", "VolumeProfile", "compute_profile"]
+
+
+@dataclass(frozen=True)
+class VolumeSummary:
+    """Every block-level per-volume metric, from one expansion."""
+
+    n_requests: int
+    randomness: float
+    working_sets: WorkingSets
+    top1_read: float
+    top10_read: float
+    top1_write: float
+    top10_write: float
+    mostly: MostlySums
+    adjacent: AdjacentAccessTimes
+    update_intervals: np.ndarray
+    miss_ratios: List[VolumeCacheResult]
+
+
+def volume_suite(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> VolumeSummary:
+    """The per-volume metric suite: one block expansion, every metric.
+
+    Each field equals the standalone per-volume function (e.g.
+    ``working_sets(trace)``) because both call the same helpers; only the
+    expansion and the (block, time) sort are shared.  Caches are
+    simulated at :data:`~repro.core.cache_analysis.DEFAULT_CACHE_FRACTIONS`
+    of the working set.  Module-level so the engine can pickle it to a
+    pool worker.
+    """
+    ev = block_events(trace, block_size)
+    _, read_bytes, write_bytes = event_traffic(ev)
+    ws = event_working_sets(ev)
+    stream = block_stream(ev)
+    return VolumeSummary(
+        n_requests=len(trace),
+        randomness=randomness_ratio(trace),
+        working_sets=ws,
+        top1_read=top_traffic_fraction(read_bytes, 0.01),
+        top10_read=top_traffic_fraction(read_bytes, 0.10),
+        top1_write=top_traffic_fraction(write_bytes, 0.01),
+        top10_write=top_traffic_fraction(write_bytes, 0.10),
+        mostly=mostly_sums(read_bytes, write_bytes),
+        adjacent=stream_adjacent_access_times(stream),
+        update_intervals=stream_update_intervals(stream),
+        miss_ratios=event_miss_ratios(
+            trace.volume_id, ev, ws.total // block_size, DEFAULT_CACHE_FRACTIONS
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -92,13 +150,10 @@ def compute_profile(
     trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> VolumeProfile:
     """Compute the full characterization profile of one volume."""
-    at = adjacent_access_times(trace, block_size)
-    intervals = update_intervals(trace, block_size)
-    mostly = mostly_traffic(trace, block_size=block_size)
-    miss = {
-        (r.cache_fraction): r
-        for r in volume_miss_ratios(trace, (0.01, 0.10), block_size)
-    }
+    suite = volume_suite(trace, block_size)
+    mostly = suite.mostly.fractions()
+    at = suite.adjacent
+    miss = {r.cache_fraction: r for r in suite.miss_ratios}
 
     def miss_ratio(frac: float, op: str) -> float:
         res = miss.get(frac)
@@ -118,20 +173,20 @@ def compute_profile(
         peak_intensity=peak_intensity(trace),
         burstiness_ratio=burstiness_ratio(trace),
         write_read_ratio=write_read_ratio(trace),
-        randomness_ratio=randomness_ratio(trace),
-        working_sets=working_sets(trace, block_size),
-        update_coverage=update_coverage(trace, block_size),
-        top1_read_traffic=topk_block_traffic_fraction(trace, 0.01, "read", block_size),
-        top10_read_traffic=topk_block_traffic_fraction(trace, 0.10, "read", block_size),
-        top1_write_traffic=topk_block_traffic_fraction(trace, 0.01, "write", block_size),
-        top10_write_traffic=topk_block_traffic_fraction(trace, 0.10, "write", block_size),
+        randomness_ratio=suite.randomness,
+        working_sets=suite.working_sets,
+        update_coverage=suite.working_sets.update_coverage,
+        top1_read_traffic=suite.top1_read,
+        top10_read_traffic=suite.top10_read,
+        top1_write_traffic=suite.top1_write,
+        top10_write_traffic=suite.top10_write,
         read_to_read_mostly=mostly.read_to_read_mostly,
         write_to_write_mostly=mostly.write_to_write_mostly,
         median_raw_time=_median_or_nan(at.raw),
         median_waw_time=_median_or_nan(at.waw),
         median_rar_time=_median_or_nan(at.rar),
         median_war_time=_median_or_nan(at.war),
-        median_update_interval=_median_or_nan(intervals),
+        median_update_interval=_median_or_nan(suite.update_intervals),
         read_miss_ratio_1pct=miss_ratio(0.01, "read"),
         write_miss_ratio_1pct=miss_ratio(0.01, "write"),
         read_miss_ratio_10pct=miss_ratio(0.10, "read"),

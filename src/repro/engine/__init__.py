@@ -7,9 +7,8 @@ One shared execution substrate for every trace analysis:
   arrays (no per-row object allocation).
 * :mod:`~repro.engine.analyzer` — the :class:`Analyzer` contract: every
   metric as a mergeable ``init_state / consume / merge / finalize`` fold.
-* :mod:`~repro.engine.analyzers` — adapters re-expressing the paper's
-  load-intensity, spatial, temporal, and streaming-profile analyses as
-  engine folds.
+* :mod:`~repro.engine.analyzers` — :class:`StreamingProfileAnalyzer`,
+  the bounded-memory streaming volume profile as an engine fold.
 * :mod:`~repro.engine.plan` — query planning: analyzers declare the
   columns they read and optional row predicates; the run's
   :class:`QueryPlan` prunes columns and pushes filters down the data
@@ -27,9 +26,8 @@ One shared execution substrate for every trace analysis:
 
 Quickstart::
 
-    from repro.engine import run, LoadIntensityAnalyzer, StreamingProfileAnalyzer
-    result = run("traces/", [LoadIntensityAnalyzer(), StreamingProfileAnalyzer()],
-                 chunk_size=65536, workers=4)
+    from repro.engine import run, StreamingProfileAnalyzer
+    result = run("traces/", [StreamingProfileAnalyzer()], chunk_size=65536, workers=4)
     profile = result.analyzer("streaming_profile")["vol0"]
 """
 
@@ -41,16 +39,7 @@ from .backends import (
     SerialBackend,
     resolve_backend,
 )
-from .analyzers import (
-    DEFAULT_RESERVOIR_SIZE,
-    LoadIntensityAnalyzer,
-    LoadIntensityResult,
-    SpatialAnalyzer,
-    StreamingProfileAnalyzer,
-    TemporalAnalyzer,
-    TemporalResult,
-    WorkingSetSketch,
-)
+from .analyzers import DEFAULT_RESERVOIR_SIZE, StreamingProfileAnalyzer
 from .chunks import (
     DEFAULT_CHUNK_SIZE,
     Chunk,
@@ -94,13 +83,7 @@ __all__ = [
     "plan_units",
     "unit_chunks",
     "DEFAULT_RESERVOIR_SIZE",
-    "LoadIntensityAnalyzer",
-    "LoadIntensityResult",
-    "SpatialAnalyzer",
     "StreamingProfileAnalyzer",
-    "TemporalAnalyzer",
-    "TemporalResult",
-    "WorkingSetSketch",
     "DEFAULT_CHUNK_SIZE",
     "Chunk",
     "ColumnPrunedError",

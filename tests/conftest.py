@@ -1,6 +1,7 @@
 """Shared fixtures: small deterministic traces and fleets."""
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -81,3 +82,52 @@ def simple_dataset():
         is_write=[False, False],
     )
     return TraceDataset("simple", {"v0": v0, "v1": v1})
+
+
+@dataclass(frozen=True)
+class Tally:
+    """One volume's read/write request counts and written bytes."""
+
+    volume_id: str
+    n_reads: int = 0
+    n_writes: int = 0
+    write_bytes: int = 0
+
+
+class TallyAnalyzer:
+    """A minimal engine fold that reads only ``sizes`` and ``is_write``.
+
+    Narrower than the built-in ``StreamingProfileAnalyzer`` (which reads
+    every core column), so tests can drive column pruning, per-analyzer
+    predicates and several analyzers in one pass.
+    """
+
+    name = "tally"
+    required_columns = ("sizes", "is_write")
+
+    def __init__(self, row_predicate=None):
+        self.row_predicate = row_predicate
+
+    def init_state(self, volume_id):
+        return Tally(volume_id)
+
+    def consume(self, state, chunk):
+        writes = chunk.is_write
+        n_writes = int(np.count_nonzero(writes))
+        return Tally(
+            state.volume_id,
+            state.n_reads + len(chunk) - n_writes,
+            state.n_writes + n_writes,
+            state.write_bytes + int(chunk.sizes[writes].sum()),
+        )
+
+    def merge(self, earlier, later):
+        return Tally(
+            earlier.volume_id,
+            earlier.n_reads + later.n_reads,
+            earlier.n_writes + later.n_writes,
+            earlier.write_bytes + later.write_bytes,
+        )
+
+    def finalize(self, state):
+        return state

@@ -1,6 +1,9 @@
 """Tests for repro.core.aggregate (Table I and Figures 2-4 data)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     TIB,
@@ -8,9 +11,11 @@ from repro.core import (
     basic_statistics,
     request_size_cdf,
     volume_mean_size_cdf,
+    working_sets,
     write_read_ratio_cdf,
 )
-from repro.trace import TraceDataset
+from repro.core.spatial import WorkingSets
+from repro.trace import TraceDataset, VolumeTrace
 
 from conftest import make_trace
 
@@ -109,3 +114,65 @@ class TestWriteReadRatioCDF:
         cdf = write_read_ratio_cdf(tiny_ali)
         # The synthetic cloud fleet is overwhelmingly write-dominant.
         assert cdf.fraction_above(1.0) > 0.6
+
+
+# -- property: Table I's block rows on arbitrary fleets -----------------------
+
+_volume_rows = st.lists(
+    st.tuples(
+        st.integers(0, 6),  # few distinct timestamps: many exact duplicates
+        st.integers(0, 12 * 1024),  # unaligned offsets
+        st.integers(1, 3 * 1024),  # sizes straddling block boundaries
+        st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+def _volume(vid, rows):
+    if not rows:
+        return VolumeTrace.empty(vid)
+    ts, offsets, sizes, writes = zip(*rows)
+    return VolumeTrace.from_arrays(vid, np.asarray(ts, dtype=np.float64), offsets, sizes, writes)
+
+
+def _loop_block_rows(trace, block_size):
+    """Working sets and update traffic, request by request and block by block.
+
+    Update traffic is the write bytes landing on a block after its first write.
+    """
+    read, writes, update_traffic = set(), {}, 0
+    for offset, size, is_write in zip(
+        trace.offsets.tolist(), trace.sizes.tolist(), trace.is_write.tolist()
+    ):
+        for block in range(offset // block_size, (offset + size - 1) // block_size + 1):
+            if not is_write:
+                read.add(block)
+                continue
+            if block in writes:
+                lo, hi = block * block_size, (block + 1) * block_size
+                update_traffic += min(hi, offset + size) - max(lo, offset)
+            writes[block] = writes.get(block, 0) + 1
+    ws = WorkingSets(
+        total=len(read | set(writes)) * block_size,
+        read=len(read) * block_size,
+        write=len(writes) * block_size,
+        update=sum(1 for n in writes.values() if n > 1) * block_size,
+    )
+    return ws, update_traffic
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fleet=st.lists(_volume_rows, min_size=1, max_size=4),
+    block_size=st.sampled_from([512, 1024, 4096]),
+)
+def test_block_rows_equal_per_volume_working_sets(fleet, block_size):
+    ds = TraceDataset("p", {f"v{i}": _volume(f"v{i}", rows) for i, rows in enumerate(fleet)})
+    stats = basic_statistics(ds, block_size=block_size, duration_days=1.0)
+    per_volume = [working_sets(v, block_size) for v in ds.volumes()]
+    loops = [_loop_block_rows(v, block_size) for v in ds.volumes()]
+    assert per_volume == [ws for ws, _ in loops]
+    for row in ("total", "read", "write", "update"):
+        assert getattr(stats, f"wss_{row}_tib") == sum(getattr(ws, row) for ws in per_volume) / TIB
+    assert stats.update_traffic_tib == sum(upd for _, upd in loops) / TIB

@@ -1,9 +1,9 @@
 """Engine-vs-legacy parity on synthetic AliCloud and MSRC fleets.
 
-Exact counters must match the legacy analyses bit-for-bit at every chunk
-size and worker count; sketch-backed estimates must match within sketch
-tolerance (and exactly, when the reservoir is large enough to hold the
-whole stream).
+The engine's streaming profile must match the traces' exact counters
+bit-for-bit at every chunk size and worker count; sketch-backed
+estimates must match within sketch tolerance (and exactly, when the
+reservoir is large enough to hold the whole stream).
 """
 
 import dataclasses
@@ -12,20 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core import stream_profile_requests, working_sets
-from repro.core.load_intensity import (
-    average_intensity,
-    peak_intensity,
-    write_read_ratio,
-)
-from repro.core.temporal import adjacent_access_times, update_intervals
-from repro.engine import (
-    LoadIntensityAnalyzer,
-    SpatialAnalyzer,
-    StreamingProfileAnalyzer,
-    TemporalAnalyzer,
-    run,
-    run_dataset,
-)
+from repro.core.load_intensity import average_intensity, write_read_ratio
+from repro.engine import StreamingProfileAnalyzer, run, run_dataset
 from repro.trace import write_dataset_dir
 
 BS = 4096
@@ -44,12 +32,7 @@ def _exact_pcts(values):
 
 
 def _analyzers(reservoir_size):
-    return [
-        LoadIntensityAnalyzer(peak_interval=10.0, reservoir_size=reservoir_size),
-        SpatialAnalyzer(block_size=BS),
-        TemporalAnalyzer(block_size=BS, reservoir_size=reservoir_size),
-        StreamingProfileAnalyzer(block_size=BS, reservoir_size=reservoir_size),
-    ]
+    return [StreamingProfileAnalyzer(block_size=BS, reservoir_size=reservoir_size)]
 
 
 def _as_comparable(result):
@@ -57,6 +40,14 @@ def _as_comparable(result):
         name: {vid: dataclasses.asdict(r) for vid, r in per_vol.items()}
         for name, per_vol in result.per_volume.items()
     }
+
+
+def _assert_exact_counters(got, trace):
+    assert got.n_requests == len(trace)
+    assert got.n_reads == int(np.count_nonzero(~trace.is_write))
+    assert got.n_writes == int(np.count_nonzero(trace.is_write))
+    assert got.read_bytes == int(trace.sizes[~trace.is_write].sum())
+    assert got.write_bytes == int(trace.sizes[trace.is_write].sum())
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +72,10 @@ def ali_engine(tiny_ali):
 
 class TestExactCounterParity:
     def test_load_intensity(self, tiny_ali, ali_engine):
-        results = ali_engine.analyzer("load_intensity")
+        results = ali_engine.analyzer("streaming_profile")
         for trace in tiny_ali.non_empty_volumes():
             got = results[trace.volume_id]
-            assert got.n_requests == len(trace)
-            assert got.n_reads == int(np.count_nonzero(~trace.is_write))
-            assert got.n_writes == int(np.count_nonzero(trace.is_write))
-            assert got.read_bytes == int(trace.sizes[~trace.is_write].sum())
-            assert got.write_bytes == int(trace.sizes[trace.is_write].sum())
+            _assert_exact_counters(got, trace)
             assert got.average_intensity == pytest.approx(average_intensity(trace))
             legacy_wr = write_read_ratio(trace)
             if np.isnan(legacy_wr):
@@ -97,52 +84,26 @@ class TestExactCounterParity:
                 assert got.write_read_ratio == pytest.approx(legacy_wr)
 
     def test_load_intensity_quantiles_exact(self, tiny_ali, ali_engine):
-        results = ali_engine.analyzer("load_intensity")
-        for trace in tiny_ali.non_empty_volumes():
-            got = results[trace.volume_id].interarrival_percentiles
-            expected = _exact_pcts(np.diff(trace.timestamps))
-            assert got.keys() == expected.keys()
-            for p, v in expected.items():
-                assert got[p] == pytest.approx(v)
-
-    def test_peak_intensity_within_rebucketing_bound(self, tiny_ali, ali_engine):
-        # Engine peaks bucket at absolute time zero, legacy at the volume's
-        # first timestamp.  Any bucket of one anchoring is covered by at
-        # most two buckets of the other, so the peaks agree within 2x.
-        results = ali_engine.analyzer("load_intensity")
-        for trace in tiny_ali.non_empty_volumes():
-            got = results[trace.volume_id].peak_intensity
-            legacy = peak_intensity(trace, 10.0)
-            assert 0 < got <= 2 * legacy + 1e-9
-            assert legacy <= 2 * got + 1e-9
-
-    def test_temporal_counts(self, tiny_ali, ali_engine):
-        results = ali_engine.analyzer("temporal")
+        results = ali_engine.analyzer("streaming_profile")
         for trace in tiny_ali.non_empty_volumes():
             got = results[trace.volume_id]
-            assert got.counts == adjacent_access_times(trace, BS).counts()
-            assert got.update_count == len(update_intervals(trace, BS))
-
-    def test_temporal_quantiles_exact(self, tiny_ali, ali_engine):
-        results = ali_engine.analyzer("temporal")
-        for trace in tiny_ali.non_empty_volumes():
-            got = results[trace.volume_id]
-            legacy = adjacent_access_times(trace, BS)
-            for name in ("RAW", "WAW", "RAR", "WAR"):
-                expected = _exact_pcts(legacy.get(name))
+            for pcts, values in (
+                (got.interarrival_percentiles, np.diff(trace.timestamps)),
+                (got.size_percentiles, trace.sizes),
+            ):
+                expected = _exact_pcts(values)
+                assert pcts.keys() == expected.keys()
                 for p, v in expected.items():
-                    assert got.transition_percentiles[name][p] == pytest.approx(v), name
-            for p, v in _exact_pcts(update_intervals(trace, BS)).items():
-                assert got.update_interval_percentiles[p] == pytest.approx(v)
+                    assert pcts[p] == pytest.approx(v)
 
     def test_spatial_within_sketch_tolerance(self, tiny_ali, ali_engine):
-        results = ali_engine.analyzer("spatial")
+        results = ali_engine.analyzer("streaming_profile")
         for trace in tiny_ali.non_empty_volumes():
             got = results[trace.volume_id]
             exact = working_sets(trace, BS)
-            assert got.total_bytes == pytest.approx(exact.total, rel=0.05)
-            assert got.read_bytes == pytest.approx(exact.read, rel=0.05)
-            assert got.write_bytes == pytest.approx(exact.write, rel=0.05)
+            assert got.wss_total_bytes == pytest.approx(exact.total, rel=0.05)
+            assert got.wss_read_bytes == pytest.approx(exact.read, rel=0.05)
+            assert got.wss_write_bytes == pytest.approx(exact.write, rel=0.05)
 
     def test_streaming_profile_matches_legacy_profiler(self, tiny_ali, ali_engine):
         legacy = stream_profile_requests(
@@ -170,17 +131,9 @@ class TestExactCounterParity:
 class TestMsrcParity:
     def test_exact_counters_from_files(self, tiny_msrc, msrc_dir):
         result = run(msrc_dir, _analyzers(EXACT_RESERVOIR), fmt="msrc", chunk_size=101)
-        load = result.analyzer("load_intensity")
-        temporal = result.analyzer("temporal")
+        profiles = result.analyzer("streaming_profile")
         for trace in tiny_msrc.non_empty_volumes():
-            got = load[trace.volume_id]
-            assert got.n_reads == int(np.count_nonzero(~trace.is_write))
-            assert got.n_writes == int(np.count_nonzero(trace.is_write))
-            assert got.read_bytes == int(trace.sizes[~trace.is_write].sum())
-            assert got.write_bytes == int(trace.sizes[trace.is_write].sum())
-            assert temporal[trace.volume_id].counts == (
-                adjacent_access_times(trace, BS).counts()
-            )
+            _assert_exact_counters(profiles[trace.volume_id], trace)
 
 
 class TestDeterminism:
@@ -195,8 +148,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("chunk_size", [13, 137, 10**6])
     def test_chunk_size_invariant(self, tiny_ali, chunk_size, ali_engine):
         # Exact counters AND sketch outputs are invariant to chunk layout
-        # (boundary-straddling chunks included: 13 and 137 both split
-        # same-block runs across chunks).
+        # (13 and 137 both split every volume across many chunks).
         got = run_dataset(tiny_ali, _analyzers(EXACT_RESERVOIR), chunk_size=chunk_size)
         assert _as_comparable(got) == _as_comparable(ali_engine)
 
@@ -220,10 +172,6 @@ class TestDeterminism:
         # draws differ) — otherwise the inter-arrival reservoir depends
         # on the number of chunk boundaries once it is over capacity.
         # A size-8 reservoir forces rejection sampling on every volume.
-        analyzers = [
-            LoadIntensityAnalyzer(peak_interval=10.0, reservoir_size=8),
-            StreamingProfileAnalyzer(block_size=BS, reservoir_size=8),
-        ]
-        small = run_dataset(tiny_ali, analyzers, chunk_size=17)
-        big = run_dataset(tiny_ali, analyzers, chunk_size=10**6)
+        small = run_dataset(tiny_ali, _analyzers(8), chunk_size=17)
+        big = run_dataset(tiny_ali, _analyzers(8), chunk_size=10**6)
         assert _as_comparable(small) == _as_comparable(big)

@@ -16,12 +16,9 @@ from repro.engine import (
     ALL_COLUMNS,
     Chunk,
     ColumnPrunedError,
-    LoadIntensityAnalyzer,
     QueryPlan,
     RowPredicate,
-    SpatialAnalyzer,
     StreamingProfileAnalyzer,
-    TemporalAnalyzer,
     analyzer_columns,
     analyzer_predicate,
     apply_plan,
@@ -36,6 +33,8 @@ from repro.obs import collecting
 from repro.store import StoreConfig, ingest_dir
 from repro.trace import TraceDataset, write_dataset_dir
 
+from conftest import TallyAnalyzer
+
 BS = 4096
 #: Holds every sample of the test fleet: reservoirs become exact, so
 #: pruned-vs-filtered parity can be asserted bit for bit even though the
@@ -45,10 +44,8 @@ EXACT_RESERVOIR = 1 << 20
 
 def _analyzers(reservoir_size=EXACT_RESERVOIR):
     return [
-        LoadIntensityAnalyzer(peak_interval=10.0, reservoir_size=reservoir_size),
-        SpatialAnalyzer(block_size=BS),
-        TemporalAnalyzer(block_size=BS, reservoir_size=reservoir_size),
         StreamingProfileAnalyzer(block_size=BS, reservoir_size=reservoir_size),
+        TallyAnalyzer(),
     ]
 
 
@@ -177,24 +174,28 @@ class TestQueryPlan:
         assert set(plan.load_columns()) == {"timestamps", "offsets", "is_write"}
 
     def test_plan_for_unions_declarations(self):
-        plan = plan_for([LoadIntensityAnalyzer(), SpatialAnalyzer()], None)
-        assert set(plan.columns) == {"timestamps", "offsets", "sizes", "is_write"}
+        class TimestampsOnly:
+            name = "timestamps_only"
+            required_columns = ("timestamps",)
+
+        plan = plan_for([TallyAnalyzer(), TimestampsOnly()], None)
+        assert set(plan.columns) == {"timestamps", "sizes", "is_write"}
 
     def test_plan_for_undeclared_analyzer_disables_pruning(self):
         class Opaque:
             name = "opaque"
 
-        plan = plan_for([LoadIntensityAnalyzer(), Opaque()], None)
+        plan = plan_for([TallyAnalyzer(), Opaque()], None)
         assert plan is None or plan.columns is None
 
     def test_plan_for_pushes_down_shared_predicate(self):
         pred = RowPredicate(since=3.0)
-        plan = plan_for([LoadIntensityAnalyzer()], pred)
+        plan = plan_for([TallyAnalyzer()], pred)
         assert plan.predicate == pred
 
     def test_accessors_validate(self):
-        analyzer = LoadIntensityAnalyzer()
-        assert "timestamps" in analyzer_columns(analyzer)
+        analyzer = TallyAnalyzer()
+        assert "sizes" in analyzer_columns(analyzer)
         assert analyzer_predicate(analyzer) is None
 
         class Bad:
@@ -361,10 +362,7 @@ class TestPrunedEqualsFiltered:
 class TestAnalyzerOwnPredicate:
     def test_residual_applies_per_analyzer(self, tiny_ali):
         # One analyzer asks for writes only; its neighbor sees every row.
-        write_only = LoadIntensityAnalyzer(
-            peak_interval=10.0, reservoir_size=EXACT_RESERVOIR,
-            row_predicate=RowPredicate(op="write"),
-        )
+        write_only = TallyAnalyzer(row_predicate=RowPredicate(op="write"))
         neighbor = StreamingProfileAnalyzer(
             block_size=BS, reservoir_size=EXACT_RESERVOIR
         )
@@ -372,7 +370,7 @@ class TestAnalyzerOwnPredicate:
 
         ref_writes = run_dataset(
             _filtered(tiny_ali, RowPredicate(op="write")),
-            [LoadIntensityAnalyzer(peak_interval=10.0, reservoir_size=EXACT_RESERVOIR)],
+            [TallyAnalyzer()],
         )
         ref_all = run_dataset(
             tiny_ali,
@@ -380,11 +378,11 @@ class TestAnalyzerOwnPredicate:
         )
         want = {
             vid: dataclasses.asdict(r)
-            for vid, r in ref_writes.analyzer("load_intensity").items()
+            for vid, r in ref_writes.analyzer("tally").items()
         }
         assert {
             vid: dataclasses.asdict(r)
-            for vid, r in got.analyzer("load_intensity").items()
+            for vid, r in got.analyzer("tally").items()
         } == want
         assert {
             vid: dataclasses.asdict(r)
@@ -417,17 +415,10 @@ class TestAnalyzerOwnPredicate:
 
 
 class TestEmptyFinalize:
-    """Satellite: every built-in finalizes an untouched state cleanly."""
+    """The built-in analyzer finalizes an untouched state cleanly."""
 
     @pytest.mark.parametrize(
-        "analyzer",
-        [
-            LoadIntensityAnalyzer(),
-            SpatialAnalyzer(block_size=BS),
-            TemporalAnalyzer(block_size=BS),
-            StreamingProfileAnalyzer(block_size=BS),
-        ],
-        ids=lambda a: a.name,
+        "analyzer", [StreamingProfileAnalyzer(block_size=BS)], ids=lambda a: a.name
     )
     def test_finalize_empty_state(self, analyzer):
         result = analyzer.finalize(analyzer.init_state("empty-vol"))
@@ -441,7 +432,7 @@ class TestEmptyFinalize:
         got = run_dataset(
             tiny_ali, _analyzers(), predicate=RowPredicate(until=-1.0)
         )
-        assert got.per_volume["load_intensity"] == {}
+        assert got.per_volume["streaming_profile"] == {}
 
 
 class TestCliFilterFlags:

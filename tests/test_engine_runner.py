@@ -5,17 +5,14 @@ import dataclasses
 import pytest
 
 from repro.engine import (
-    LoadIntensityAnalyzer,
-    SpatialAnalyzer,
     StreamingProfileAnalyzer,
-    TemporalAnalyzer,
     parallel_map,
     run,
     run_dataset,
 )
 from repro.trace import TraceDataset, write_dataset_dir
 
-from conftest import make_trace
+from conftest import TallyAnalyzer, make_trace
 
 
 def _square(x, add=0):
@@ -23,12 +20,7 @@ def _square(x, add=0):
 
 
 def _all_analyzers():
-    return [
-        LoadIntensityAnalyzer(peak_interval=5.0),
-        SpatialAnalyzer(),
-        TemporalAnalyzer(),
-        StreamingProfileAnalyzer(),
-    ]
+    return [StreamingProfileAnalyzer(), TallyAnalyzer()]
 
 
 def _as_comparable(result):
@@ -73,9 +65,7 @@ class TestParallelMap:
 class TestRunDataset:
     def test_all_analyzers_present(self, two_volume_dataset):
         result = run_dataset(two_volume_dataset, _all_analyzers())
-        assert set(result.per_volume) == {
-            "load_intensity", "spatial", "temporal", "streaming_profile",
-        }
+        assert set(result.per_volume) == {"streaming_profile", "tally"}
         assert result.volume_ids() == ["v0", "v1"]
         assert result.n_volumes == 2
 
@@ -83,17 +73,17 @@ class TestRunDataset:
         result = run_dataset(two_volume_dataset, _all_analyzers())
         per_analyzer = result.volume("v0")
         assert set(per_analyzer) == set(result.per_volume)
-        assert per_analyzer["load_intensity"].n_requests == 6
+        assert per_analyzer["streaming_profile"].n_requests == 6
 
     def test_skips_empty_volumes(self):
         dataset = TraceDataset("one", {"v0": make_trace("v0")})
         dataset.add(make_trace("empty", timestamps=[], offsets=[], sizes=[], is_write=[]))
-        result = run_dataset(dataset, [LoadIntensityAnalyzer()])
+        result = run_dataset(dataset, [StreamingProfileAnalyzer()])
         assert result.volume_ids() == ["v0"]
 
     def test_duplicate_analyzer_names_rejected(self, two_volume_dataset):
         with pytest.raises(ValueError, match="unique"):
-            run_dataset(two_volume_dataset, [LoadIntensityAnalyzer(), LoadIntensityAnalyzer()])
+            run_dataset(two_volume_dataset, [TallyAnalyzer(), TallyAnalyzer()])
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 1000])
     def test_chunk_size_invariant(self, two_volume_dataset, chunk_size):
@@ -143,12 +133,12 @@ class TestRunFiles:
 
     def test_volume_split_across_files_matches_single_file(self, tmp_path):
         # One volume's stream split at a file boundary: the ordered merge
-        # must reconstruct cross-file facts (gap, same-block transition).
+        # must reconstruct the cross-file inter-arrival gap.
         lines = [
             "v0,W,0,4096,1000000",
             "v0,R,0,4096,2000000",
-            "v0,W,0,4096,3000000",
-            "v0,R,4096,4096,4000000",
+            "v0,W,0,4096,5000000",
+            "v0,R,4096,4096,6000000",
         ]
         single = tmp_path / "single"
         split = tmp_path / "split"
@@ -159,12 +149,11 @@ class TestRunFiles:
         one = run(str(single), _all_analyzers(), chunk_size=1)
         two = run(str(split), _all_analyzers(), chunk_size=1, workers=2)
         assert _as_comparable(one) == _as_comparable(two)
-        temporal = two.analyzer("temporal")["v0"]
-        # W@1 -> R@2 -> W@3 on block 0: one RAW, one WAR, zero WAW pairs…
-        assert temporal.counts == {"RAR": 0, "WAR": 1, "RAW": 1, "WAW": 0}
-        # …but W@1 and W@3 are consecutive writes: one update interval of 2 s.
-        assert temporal.update_count == 1
-        assert temporal.update_interval_percentiles[50.0] == pytest.approx(2.0)
+        profile = two.analyzer("streaming_profile")["v0"]
+        assert (profile.start_time, profile.end_time) == (1.0, 6.0)
+        # Gaps 1 s, 3 s (across the boundary), 1 s: the 3 s gap lifts p75.
+        assert profile.interarrival_percentiles[75.0] == pytest.approx(2.0)
+        assert two.analyzer("tally")["v0"].n_writes == 2
 
     def test_misordered_merge_rejected(self, tmp_path):
         # Files merge in sorted-path order; a later file holding earlier

@@ -26,8 +26,6 @@ import pytest
 from repro import faults
 from repro.cli import main
 from repro.engine import (
-    LoadIntensityAnalyzer,
-    SpatialAnalyzer,
     StreamingProfileAnalyzer,
     WorkUnit,
     plan_units,
@@ -42,10 +40,14 @@ from repro.resilience import CheckpointConfig, CheckpointError, Checkpointer, un
 from repro.resilience.checkpoint import RUN_FILE
 from repro.store import StoreConfig, aligned_row_splits, ingest_dir
 
+from conftest import TallyAnalyzer
+
 BIG_ROWS = 60_000
 SPLIT_ROWS = 15_000  # -> 4 sub-units of the big file
 N_SMALL = 50
 SMALL_ROWS = 120
+#: Larger than any volume's row count: reservoirs keep every sample.
+EXACT_RESERVOIR = 1 << 20
 
 
 @pytest.fixture(autouse=True)
@@ -136,11 +138,12 @@ class TestSplitIdentity:
             assert fa.read() == fb.read()
 
     def test_exact_analyzers_split_invariant_run_files(self, skew_dir):
-        """Exact folds (no capacity-bounded sketches) are split-invariant."""
+        """Exact folds are split-invariant: a reservoir larger than the data
+        keeps every sample, and HLL merges are exact."""
         files = sorted(
             os.path.join(skew_dir, f) for f in os.listdir(skew_dir)
         )
-        mk = lambda: [LoadIntensityAnalyzer(), SpatialAnalyzer()]
+        mk = lambda: [StreamingProfileAnalyzer(reservoir_size=EXACT_RESERVOIR), TallyAnalyzer()]
         base = run_files(files, mk(), fmt="alicloud", workers=1)
         for workers in (1, 4):
             got = run_files(
@@ -174,7 +177,7 @@ class TestSchedulingWins:
         try:
             with collecting() as reg:
                 run_files(
-                    files, [LoadIntensityAnalyzer()], fmt="alicloud",
+                    files, [StreamingProfileAnalyzer()], fmt="alicloud",
                     workers=workers, split_rows=split_rows,
                 )
         finally:
